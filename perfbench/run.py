@@ -15,6 +15,7 @@ the per-cycle ``append-requery`` series).  See ``perfbench/README.md``.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import shutil
@@ -54,6 +55,8 @@ def main(argv: list[str] | None = None) -> int:
         out = workloads.WORKLOADS[args.workload](args.seed, args.seconds, args.trace, work)
     finally:
         shutil.rmtree(work, ignore_errors=True)
+        with contextlib.suppress(OSError):  # still in use by a parallel run
+            os.rmdir(os.path.dirname(work))
 
     print("# facts " + json.dumps(benchlib.facts(
         args.seed, args.workload, seconds=args.seconds, trace=args.trace, **out.settings

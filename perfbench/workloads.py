@@ -489,7 +489,7 @@ def serve_120(seed: int, seconds: float, trace: int, work: str) -> Outcome:
 
     phase_seconds = seconds / 2.0
     rotation = len(SERVE_VARIANTS)
-    open_count = int(SERVE_RATE * phase_seconds) // rotation * rotation
+    open_count = max(1, int(SERVE_RATE * phase_seconds) // rotation) * rotation
     out = Outcome(settings={
         "rows_per_table": SERVE_ROWS, "table_pairs": SERVE_PAIRS, "variants": rotation,
         "open_loop_rate_per_s": SERVE_RATE, "open_loop_requests": open_count,
