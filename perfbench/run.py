@@ -23,6 +23,7 @@ import sys
 
 import benchlib
 import layers
+import workloads
 
 #: The gated end-to-end metrics and their units, as in ``BENCHMARK.json``.
 END_TO_END = {
@@ -36,8 +37,7 @@ END_TO_END = {
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--workload", required=True,
-                        choices=("serve-120", "drain-20k", "append-requery"))
+    parser.add_argument("--workload", required=True, choices=tuple(workloads.WORKLOADS))
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--seconds", type=float, required=True)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
@@ -47,7 +47,6 @@ def main(argv: list[str] | None = None) -> int:
     except benchlib.MissingEngine as exc:
         print(f"perfbench: {exc}", file=sys.stderr)
         return 2
-    import workloads
 
     work = os.path.join(benchlib.ROOT, ".perfbench_work", f"{args.workload}-{os.getpid()}")
     os.makedirs(work)
