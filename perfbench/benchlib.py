@@ -137,14 +137,20 @@ def synthetic_tables(n: int, seed: int) -> dict:
     ).tables()
 
 
-def table_pairs(n: int, seed: int, pairs: int) -> dict:
-    """``pairs`` independent table pairs ``R0/T0 ...``, all drawn from ``seed``.
+#: ``serve-120`` tables: rows a side, and independent table pairs served.
+SERVE_ROWS = 120
+SERVE_PAIRS = 8
+
+
+def serve_tables(seed: int) -> dict:
+    """The ``serve-120`` tables: :data:`SERVE_PAIRS` independent pairs
+    ``R0/T0 ...`` of :data:`SERVE_ROWS` rows a side, all drawn from ``seed``.
 
     Averaging over several small inputs keeps one seed's data from setting
     the per-query cost of a whole run.
     """
     tables = {}
-    for k in range(pairs):
-        for alias, table in synthetic_tables(n, seed * pairs + k).items():
+    for k in range(SERVE_PAIRS):
+        for alias, table in synthetic_tables(SERVE_ROWS, seed * SERVE_PAIRS + k).items():
             tables[f"{alias}{k}"] = table
     return tables

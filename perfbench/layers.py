@@ -7,7 +7,8 @@ as ``repro.core.kernel.process_region``, or a class attribute such as
 stack, so a span's *self time* is its duration minus the time of the spans
 it contains.  Generators are timed per resume.  Accumulators stay in memory
 until the run ends; :meth:`Tracer.restore` puts every original back and
-reports any attribute that no longer holds the original.
+then searches the engine's modules and classes for any wrapper still
+installed.
 
 Nothing here edits the engine's source: the wrappers are installed by the
 benchmark process (or the benchmark-owned server bootstrap) only.
@@ -16,10 +17,15 @@ benchmark process (or the benchmark-owned server bootstrap) only.
 from __future__ import annotations
 
 import asyncio
+import sys
 import time
+import types
 from collections import defaultdict
 
 _clock = time.perf_counter
+
+#: Set on every wrapper, so that one left installed can be found.
+_MARK = "__perfbench_wrapper__"
 
 #: Per-layer metrics: (name, unit, better).  Values are per traced query
 #: unless the name ends in ``_ratio``.
@@ -148,6 +154,7 @@ class Tracer:
         return owner.__dict__[attr] if isinstance(owner, type) else getattr(owner, attr)
 
     def _patch(self, owner, attr: str, original, replacement) -> None:
+        setattr(replacement, _MARK, True)
         self._patches.append((owner, attr, original))
         setattr(owner, attr, replacement)
 
@@ -254,17 +261,13 @@ class Tracer:
         return self
 
     def restore(self) -> list[str]:
-        """Undo every patch; return the attributes that did not come back."""
+        """Undo every patch; return where a wrapper is still installed."""
         self.active = False
+        owners = {id(owner): owner for owner, _, _ in self._patches}
         for owner, attr, original in reversed(self._patches):
             setattr(owner, attr, original)
-        leaked = []
-        for owner, attr, original in self._patches:
-            now = self._original(owner, attr)
-            if now is not original:
-                leaked.append(f"{getattr(owner, '__name__', owner)}.{attr}")
         self._patches = []
-        return leaked
+        return installed_wrappers(owners.values())
 
     def snapshot(self) -> dict[str, float]:
         return dict(self.acc)
@@ -381,6 +384,27 @@ def _install_layers(tracer: Tracer) -> None:
     tracer.wrap(asyncio.StreamWriter, "write", "serve.write")
     tracer.wrap_coroutine(asyncio.StreamWriter, "drain", "serve.write")
     tracer.count_calls(BackpressureBridge, "_pause", "serve.backpressure_pauses")
+
+
+def installed_wrappers(owners=()) -> list[str]:
+    """``module.name`` / ``Class.name`` of every wrapper still reachable
+    from a loaded ``repro`` module, a class it defines, or ``owners``."""
+    spaces = []
+    for name, module in list(sys.modules.items()):
+        if module is not None and (name == "repro" or name.startswith("repro.")):
+            spaces.append((name, vars(module)))
+            spaces.extend(
+                (value.__qualname__, vars(value))
+                for value in list(vars(module).values())
+                if isinstance(value, type)
+            )
+    spaces.extend((owner.__qualname__, vars(owner)) for owner in owners if isinstance(owner, type))
+    found = set()
+    for label, space in spaces:
+        for attr, value in list(space.items()):
+            if type(value) is types.FunctionType and _MARK in value.__dict__:
+                found.add(f"{label}.{attr}")
+    return sorted(found)
 
 
 def delta(after: dict, before: dict) -> dict:

@@ -13,7 +13,7 @@ With ``--trace 1`` the per-layer wrappers of :mod:`layers` are installed
 before the server starts, so the server's own scheduler, kernel and framing
 calls are timed.
 
-Usage: ``python3 perfbench/serve_boot.py --seed 1 --rows 120 --pairs 8 --trace 0``
+Usage: ``python3 perfbench/serve_boot.py --seed 1 --trace 0``
 """
 
 from __future__ import annotations
@@ -60,8 +60,6 @@ async def _serve(server, session, tracer) -> None:
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seed", type=int, required=True)
-    parser.add_argument("--rows", type=int, required=True)
-    parser.add_argument("--pairs", type=int, required=True)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     args = parser.parse_args()
     benchlib.require_engine()
@@ -72,9 +70,7 @@ def main() -> int:
     if args.trace:
         tracer = layers.Tracer().install()
         tracer.active = True
-    session = Session().register_tables(
-        benchlib.table_pairs(args.rows, args.seed, args.pairs)
-    )
+    session = Session().register_tables(benchlib.serve_tables(args.seed))
     server = QueryServer(session, port=0)
     asyncio.run(_serve(server, session, tracer))
     return 0

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import benchlib
 import layers
-from benchlib import DIRECTIONS, describe, p50, sql_for, tail_line
+from benchlib import DIRECTIONS, SERVE_PAIRS, SERVE_ROWS, describe, p50, sql_for, tail_line
 
 _now = time.perf_counter
 
@@ -86,9 +86,6 @@ def _traced_extra(samples: list[Sample]) -> dict:
 
 def _run_stream(session, sql: str):
     """Execute one query in-process; return its sample, keys and state."""
-    # Start every query from a collected heap, so a collection that the
-    # previous query's garbage triggers is not charged to this one.
-    gc.collect()
     start = _now()
     stream = session.execute(sql)
     arrivals = []
@@ -130,7 +127,7 @@ DRAIN_ROWS = 20_000
 def drain_20k(seed: int, seconds: float, trace: int, work: str) -> Outcome:
     """20k rows a side in mmap columnar files; one in-process caller runs
     whole rotations over the four preference directions after a warm-up
-    rotation has filled the partition cache."""
+    query has filled the partition cache."""
     import repro
 
     out = Outcome(settings={"rows_per_table": DRAIN_ROWS, "directions": 4,
@@ -139,24 +136,23 @@ def drain_20k(seed: int, seconds: float, trace: int, work: str) -> Outcome:
     for i in range(SETUP_REPEATS):
         gc.collect()
         start = _now()
-        tables = benchlib.synthetic_tables(DRAIN_ROWS, seed)
         sources = {
             alias: repro.ColumnarFileSource(
                 repro.write_columnar(os.path.join(work, f"setup{i}", alias), table),
                 name=alias,
             )
-            for alias, table in tables.items()
+            for alias, table in benchlib.synthetic_tables(DRAIN_ROWS, seed).items()
         }
         session = repro.Session().register_tables(sources)
         setups.append(_now() - start)
     out.metrics["setup_s"] = p50(setups)
+    # The generated rows are not kept: the timed loop's collections should
+    # traverse the engine's heap only.  The reference run regenerates them.
 
-    seen: list[tuple[int, set, str]] = []
     start = _now()
-    for d, direction in enumerate(DIRECTIONS):
-        _, keys, state = _run_stream(session, sql_for(direction))
-        seen.append((d, keys, state))
-    out.lines.append(f"warm-up rotation: {_now() - start:.3f} s")
+    _, keys, state = _run_stream(session, sql_for(DIRECTIONS[0]))
+    seen: list[tuple[int, set, str]] = [(0, keys, state)]
+    out.lines.append(f"warm-up query: {_now() - start:.3f} s")
 
     tracer = _traced(trace)
     cache_before = session.plan_cache.stats().as_dict()
@@ -170,9 +166,10 @@ def drain_20k(seed: int, seconds: float, trace: int, work: str) -> Outcome:
             sample, keys, state = _run_stream(session, sql_for(direction))
             samples.append(sample)
             seen.append((d, keys, state))
+    wall = _now() - start
     if tracer:
         tracer.active = False
-    out.metrics["queries_per_s"] = 1000.0 * len(samples) / sum(s.complete for s in samples)
+    out.metrics["queries_per_s"] = len(samples) / wall
     out.metrics["peak_rss_mb"] = benchlib.peak_rss_mb()
     _latency_metrics(out, samples)
     if tracer:
@@ -183,6 +180,7 @@ def drain_20k(seed: int, seconds: float, trace: int, work: str) -> Outcome:
     _finish_trace(tracer, out)
 
     # Storage transparency: each result set equals a fresh memory-backend run.
+    tables = benchlib.synthetic_tables(DRAIN_ROWS, seed)
     reference = [
         _run_stream(repro.Session().register_tables(tables), sql_for(direction))[1]
         for direction in DIRECTIONS
@@ -222,11 +220,35 @@ def _build_base(path: str, tables: dict) -> None:
         conn.close()
 
 
+def _append(writer, appended: dict, cycle: int) -> None:
+    """Cycle ``cycle``'s write: one transaction of 200 rows a side."""
+    lo = (cycle - 1) * APPEND_ROWS
+    with writer:
+        for alias, rows in appended.items():
+            marks = ", ".join("?" * len(rows[0]))
+            writer.executemany(
+                f'INSERT INTO "{alias}" VALUES ({marks})', rows[lo:lo + APPEND_ROWS]
+            )
+
+
+def _open_sqlite(db: str, aliases):
+    """A session over ``db`` opened ``append_only``, and a writer connection."""
+    import repro
+
+    sources = {alias: repro.SQLiteSource(db, table=alias, append_only=True) for alias in aliases}
+    return sources, repro.Session().register_tables(sources), sqlite3.connect(db)
+
+
+def _close_sqlite(sources: dict, writer) -> None:
+    writer.close()
+    for source in sources.values():
+        source.connection.close()
+
+
 def append_requery(seed: int, seconds: float, trace: int, work: str) -> Outcome:
     """A 10k-row SQLite base a side opened ``append_only``; each cycle
     appends 200 rows a side in one transaction and re-queries through the
     same session.  Every sequence starts from a fresh copy of the base."""
-    import repro
     from repro.core.engine import ProgXeEngine
     from repro.runtime.clock import VirtualClock
 
@@ -243,15 +265,19 @@ def append_requery(seed: int, seconds: float, trace: int, work: str) -> Outcome:
         _build_base(base, tables)
         setups.append(_now() - start)
     out.metrics["setup_s"] = p50(setups)
-    columns = {alias: len(t.schema.columns) for alias, t in tables.items()}
+    # Keep only the rows still to be appended, so the timed loop's
+    # collections traverse little beyond the engine's own heap.
+    appended = {alias: t.rows[APPEND_BASE:] for alias, t in tables.items()}
+    del tables
 
     tracer = _traced(trace)
     samples: list[Sample] = []
     appends: list[float] = []
+    seen: list[tuple[int, set, str]] = []
     series: dict[int, list[float]] = {c: [] for c in range(APPEND_CYCLES + 1)}
     partitions: dict[int, list[float]] = {c: [] for c in range(1, APPEND_CYCLES + 1)}
     cache_delta: dict[str, float] = {}
-    busy = 0.0
+    wall = 0.0
     start = last = _now()
     sequences = 0
     while sequences == 0 or _fits(start, last, seconds):
@@ -259,25 +285,15 @@ def append_requery(seed: int, seconds: float, trace: int, work: str) -> Outcome:
         last = _now()
         db = os.path.join(work, "run.db")
         shutil.copyfile(base, db)
-        sources = {
-            alias: repro.SQLiteSource(db, table=alias, append_only=True)
-            for alias in tables
-        }
-        session = repro.Session().register_tables(sources)
-        writer = sqlite3.connect(db)
+        sources, session, writer = _open_sqlite(db, appended)
         try:
             for cycle in range(APPEND_CYCLES + 1):
                 sql = sql_for(APPEND_DIRECTIONS[cycle % len(APPEND_DIRECTIONS)])
                 if cycle:
-                    lo = APPEND_BASE + (cycle - 1) * APPEND_ROWS
                     write_start = _now()
-                    with writer:
-                        for alias, table in tables.items():
-                            marks = ", ".join("?" * columns[alias])
-                            writer.executemany(
-                                f'INSERT INTO "{alias}" VALUES ({marks})',
-                                table.rows[lo:lo + APPEND_ROWS],
-                            )
+                    if cycle == 1:
+                        loop_start = write_start
+                    _append(writer, appended, cycle)
                     appends.append((_now() - write_start) * 1000.0)
                 if tracer and cycle:
                     tracer.active = True
@@ -293,24 +309,13 @@ def append_requery(seed: int, seconds: float, trace: int, work: str) -> Outcome:
                     ).items():
                         cache_delta[key] = cache_delta.get(key, 0) + value
                 series[cycle].append(sample.complete)
+                seen.append((cycle, keys, state))
                 if cycle:
-                    busy += (appends[-1] + sample.complete) / 1000.0
                     samples.append(sample)
-                # Patch transparency: equal to an uncached engine over the
-                # current table contents.
-                out.attempted += 1
-                expected = {
-                    r.key() for r in ProgXeEngine(session.sql(sql), VirtualClock()).run()
-                }
-                if state != "completed":
-                    out.fail(f"cycle {cycle} ended {state}")
-                elif keys != expected:
-                    out.fail(f"cycle {cycle}: patched result set differs from uncached")
+            wall += _now() - loop_start
         finally:
-            writer.close()
-            for source in sources.values():
-                source.connection.close()
-    out.metrics["queries_per_s"] = len(samples) / busy
+            _close_sqlite(sources, writer)
+    out.metrics["queries_per_s"] = len(samples) / wall
     out.metrics["peak_rss_mb"] = benchlib.peak_rss_mb()
     _latency_metrics(out, samples)
     out.lines.append(f"append_p50_ms: {p50(appends):.3f} ms (n={len(appends)})")
@@ -329,17 +334,38 @@ def append_requery(seed: int, seconds: float, trace: int, work: str) -> Outcome:
         )
     out.settings["sequences"] = sequences
     _finish_trace(tracer, out)
+
+    # Patch transparency: each cycle's result set equals an uncached engine
+    # over the same table contents, replayed on a fresh copy of the base.
+    db = os.path.join(work, "reference.db")
+    shutil.copyfile(base, db)
+    sources, session, writer = _open_sqlite(db, appended)
+    try:
+        expected = []
+        for cycle in range(APPEND_CYCLES + 1):
+            if cycle:
+                _append(writer, appended, cycle)
+            sql = sql_for(APPEND_DIRECTIONS[cycle % len(APPEND_DIRECTIONS)])
+            expected.append(
+                {r.key() for r in ProgXeEngine(session.sql(sql), VirtualClock()).run()}
+            )
+    finally:
+        _close_sqlite(sources, writer)
+    for cycle, keys, state in seen:
+        out.attempted += 1
+        if state != "completed":
+            out.fail(f"cycle {cycle} ended {state}")
+        elif keys != expected[cycle]:
+            out.fail(f"cycle {cycle}: patched result set differs from uncached")
     return out
 
 
 # ----------------------------------------------------------------------
 # serve-120
 # ----------------------------------------------------------------------
-SERVE_ROWS = 120
 SERVE_RATE = 30.0
 SERVE_CONNECTIONS = 2
-#: Independent table pairs served; queries rotate over all of them.
-SERVE_PAIRS = 8
+#: Queries rotate over every table pair, partitioner and direction.
 SERVE_VARIANTS = tuple(
     (direction, partitioning, str(pair))
     for pair in range(SERVE_PAIRS)
@@ -354,8 +380,7 @@ class _Server:
     def __init__(self, seed: int, trace: int) -> None:
         self.proc = subprocess.Popen(
             [sys.executable, os.path.join(benchlib.HERE, "serve_boot.py"),
-             "--seed", str(seed), "--rows", str(SERVE_ROWS),
-             "--pairs", str(SERVE_PAIRS), "--trace", str(trace)],
+             "--seed", str(seed), "--trace", str(trace)],
             stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True,
             cwd=benchlib.ROOT,
         )
@@ -495,9 +520,7 @@ def serve_120(seed: int, seconds: float, trace: int, work: str) -> Outcome:
         "open_loop_rate_per_s": SERVE_RATE, "open_loop_requests": open_count,
         "connections": SERVE_CONNECTIONS, "closed_loop_seconds": phase_seconds,
     })
-    local = repro.Session().register_tables(
-        benchlib.table_pairs(SERVE_ROWS, seed, SERVE_PAIRS)
-    )
+    local = repro.Session().register_tables(benchlib.serve_tables(seed))
     expected = [
         [r.outputs for r in local.execute(
             sql_for(direction, pair),
